@@ -26,9 +26,12 @@ verify:
 # (memtable + Live rotation), the router's scatter/gather + breaker +
 # health prober, the gateways, the parallel pipeline, and the
 # observability layer (metrics registry snapshots under writer load,
-# trace/slowlog concurrent appends).
+# trace/slowlog concurrent appends). The coalescer's Do/Close race gets
+# ten extra passes: its interleavings depend on the dispatcher's greedy
+# drain, and the package's tests run in well under a second.
 race:
 	$(GO) test -race ./internal/serve ./internal/router ./internal/batch ./internal/argo ./internal/pipeline ./internal/rag ./internal/vecstore ./internal/metrics ./internal/obs
+	$(GO) test -race -count=10 ./internal/batch
 
 # Short native-fuzz pass over the VSF loader's magic dispatch and header
 # parsing (FuzzLoad); the checked-in corpus under testdata/fuzz pins the

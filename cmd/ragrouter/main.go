@@ -47,7 +47,6 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated shard base URLs (required)")
 	routes := flag.String("routes", "chunks", "comma-separated route names every shard serves")
 	maxBatch := flag.Int("max-batch", 32, "coalescer batch size")
-	maxDelay := flag.Duration("max-delay", time.Millisecond, "coalescer admission window")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-attempt shard deadline")
 	retries := flag.Int("retries", 1, "retries per shard call after the first attempt (negative: none)")
 	backoff := flag.Duration("backoff", 5*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")
@@ -66,7 +65,6 @@ func main() {
 		Shards:        splitList(*shards),
 		Routes:        splitList(*routes),
 		MaxBatch:      *maxBatch,
-		MaxDelay:      *maxDelay,
 		ShardTimeout:  *timeout,
 		Retry:         retry.Policy{MaxRetries: normRetries(*retries), BaseBackoff: *backoff},
 		Breaker:       router.BreakerConfig{Threshold: *threshold, Cooldown: *cooldown},

@@ -55,7 +55,6 @@ func main() {
 	artifacts := flag.String("artifacts", "", "load a saved artifact directory (from mcqgen) instead of regenerating")
 	indexKind := flag.String("index", "flat", "chunk index kind: flat | ivf | pq | ivfpq | hnsw (trace stores stay flat)")
 	maxBatch := flag.Int("max-batch", 32, "coalescer batch size")
-	maxDelay := flag.Duration("max-delay", time.Millisecond, "coalescer admission window")
 	cacheCap := flag.Int("cache", 4096, "per-route query cache entries (0 disables)")
 	traces := flag.Bool("traces", true, "serve the three reasoning-trace stores as /v1/traces/<mode> routes")
 	live := flag.Bool("live", false, "accept live inserts on the chunk route (POST /v1/chunks/add) via a memtable layer")
@@ -76,7 +75,7 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(*addr, *artifacts, *indexKind, *saveIndex, *saveTraces, *shard, *scale, *seed,
-		*maxBatch, *cacheCap, *compactAt, *maxDelay, *drain, *traces, *live, *debug, logger); err != nil {
+		*maxBatch, *cacheCap, *compactAt, *drain, *traces, *live, *debug, logger); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
@@ -102,7 +101,7 @@ func validateConfig(indexKind, shard string, scale float64) error {
 }
 
 func run(addr, artifactDir, indexKind, saveIndex, saveTraces, shard string, scale float64, seed uint64,
-	maxBatch, cacheCap, compactAt int, maxDelay, drain time.Duration, traces, live, debug bool, logger *obs.Logger) error {
+	maxBatch, cacheCap, compactAt int, drain time.Duration, traces, live, debug bool, logger *obs.Logger) error {
 	a, err := buildArtifacts(artifactDir, shard, scale, seed, indexKind)
 	if err != nil {
 		return err
@@ -132,7 +131,6 @@ func run(addr, artifactDir, indexKind, saveIndex, saveTraces, shard string, scal
 
 	cfg := serve.DefaultConfig()
 	cfg.MaxBatch = maxBatch
-	cfg.MaxDelay = maxDelay
 	cfg.CacheCap = cacheCap
 	cfg.Debug = debug
 	if live {
@@ -152,8 +150,8 @@ func run(addr, artifactDir, indexKind, saveIndex, saveTraces, shard string, scal
 		return err
 	}
 	st := store.IndexStats()
-	fmt.Printf("ragserve listening on %s — %d chunks, %d traces, %s chunk index (%.1f bytes/vector), batch≤%d window=%s cache=%d\n",
-		srv.Addr(), len(a.Chunks), len(a.Traces), st.Kind, st.BytesPerVector(), maxBatch, maxDelay, cacheCap)
+	fmt.Printf("ragserve listening on %s — %d chunks, %d traces, %s chunk index (%.1f bytes/vector), batch≤%d cache=%d\n",
+		srv.Addr(), len(a.Chunks), len(a.Traces), st.Kind, st.BytesPerVector(), maxBatch, cacheCap)
 	fmt.Printf("routes: %s\n", strings.Join(srv.Routes(), ", "))
 	logger.Info("serving", "addr", srv.Addr(), "routes", strings.Join(srv.Routes(), ","), "debug", debug)
 

@@ -43,7 +43,7 @@ func TestBatching(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return echoHandler(ctx, batch)
 	}
-	g := NewGateway(Config{MaxBatch: 8, MaxDelay: 5 * time.Millisecond}, handler)
+	g := NewGateway(Config{MaxBatch: 8}, handler)
 	defer g.Close()
 	reqs := make([]Request, 64)
 	for i := range reqs {
@@ -248,7 +248,7 @@ func TestHTTPTransportServerDown(t *testing.T) {
 }
 
 func BenchmarkGatewayThroughput(b *testing.B) {
-	g := NewGateway(Config{MaxBatch: 64, MaxDelay: 100 * time.Microsecond}, echoHandler)
+	g := NewGateway(Config{MaxBatch: 64}, echoHandler)
 	defer g.Close()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0

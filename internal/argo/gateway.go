@@ -6,9 +6,10 @@
 // campaign needs from a model endpoint:
 //
 //   - request coalescing: concurrent Call()s are packed into batches of up
-//     to MaxBatch, or whatever arrived within MaxDelay — provided by the
-//     shared internal/batch coalescer, which the serve retrieval server
-//     reuses for the same admission-window batching;
+//     to MaxBatch — provided by the shared internal/batch coalescer, which
+//     the serve retrieval server and the router reuse. A call on an idle
+//     gateway is dispatched at once; calls that arrive while a batch is
+//     in the handler form the next batch;
 //   - token-bucket rate limiting across batches;
 //   - bounded retries with exponential backoff and deterministic jitter for
 //     transient failures (the schedule is the shared internal/retry.Policy,
@@ -52,7 +53,6 @@ type BatchHandler func(ctx context.Context, batch []Request) []Response
 // Config parameterises a Gateway.
 type Config struct {
 	MaxBatch    int           // max requests per handler call (default 16)
-	MaxDelay    time.Duration // max time a request waits for batchmates (default 2ms)
 	MaxRetries  int           // retry budget per request for transient failures (default 3)
 	BaseBackoff time.Duration // first retry delay (default 1ms, doubles per attempt)
 	// RatePerSec limits handler dispatches per second; 0 disables.
@@ -64,9 +64,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
@@ -132,7 +129,7 @@ func NewGateway(cfg Config, handler BatchHandler) *Gateway {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	g.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, g.serveBatch)
+	g.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch}, g.serveBatch)
 	return g
 }
 

@@ -1,10 +1,15 @@
 // Package batch provides the request-coalescing primitive shared by the
-// repo's two gateways: the argo model-API proxy and the serve retrieval
-// server. Concurrent Do() calls are packed into batches of up to MaxBatch
-// items, or whatever arrived within MaxDelay of the first, and handed to a
-// single batch function — the admission-window design the source paper's
-// service gateway uses to amortise per-call overhead across a campaign's
-// worth of concurrent workers.
+// repo's gateways: the argo model-API proxy, the serve retrieval server
+// and the shard router. Concurrent Do() calls are packed into batches and
+// handed to a single batch function, amortising per-call overhead across a
+// campaign's worth of concurrent workers.
+//
+// Dispatch is greedy: the dispatcher blocks for one item, then takes
+// whatever else is already queued, up to MaxBatch, and runs the batch at
+// once — no timer, no admission window. Items that arrive while a batch
+// runs form the next batch, so batch size follows queue depth: an idle
+// coalescer answers a lone call immediately, and a loaded one batches
+// whatever queued while the previous batch ran.
 //
 // The coalescer guarantees that every accepted item is answered exactly
 // once, even when Close races concurrent Do calls (see the closeMu
@@ -16,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // Config parameterises a Coalescer.
@@ -24,17 +28,11 @@ type Config struct {
 	// MaxBatch is the largest batch handed to the batch function
 	// (default 16).
 	MaxBatch int
-	// MaxDelay bounds how long the first item of a batch waits for
-	// batchmates (default 2ms).
-	MaxDelay time.Duration
 }
 
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 }
 
@@ -153,7 +151,9 @@ func (c *Coalescer[Q, R]) Stats() Stats {
 	return c.stats
 }
 
-// dispatchLoop collects pending items into batches and services them.
+// dispatchLoop collects pending items into batches and services them:
+// block for the first item, then drain what is already queued without
+// waiting.
 func (c *Coalescer[Q, R]) dispatchLoop() {
 	defer c.wg.Done()
 	for {
@@ -166,19 +166,15 @@ func (c *Coalescer[Q, R]) dispatchLoop() {
 			return
 		}
 		pendings := []item[Q, R]{first}
-		timer := time.NewTimer(c.cfg.MaxDelay)
-	fill:
+	drain:
 		for len(pendings) < c.cfg.MaxBatch {
 			select {
 			case it := <-c.queue:
 				pendings = append(pendings, it)
-			case <-timer.C:
-				break fill
-			case <-c.done:
-				break fill
+			default:
+				break drain
 			}
 		}
-		timer.Stop()
 		c.serveBatch(pendings)
 	}
 }

@@ -51,9 +51,9 @@ type Config struct {
 	// mount all of them (default: just "chunks").
 	Routes []string
 	// MaxBatch caps the coalesced micro-batch scattered per shard call
-	// (default 32); MaxDelay is the admission window (default 1ms).
+	// (default 32). A request on an idle route is scattered at once;
+	// requests that queue while a batch is out form the next one.
 	MaxBatch int
-	MaxDelay time.Duration
 	// DefaultK / MaxK bound the retrieval depth as on the backends.
 	DefaultK int
 	MaxK     int
@@ -89,9 +89,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Millisecond
 	}
 	if c.DefaultK <= 0 {
 		c.DefaultK = 5
@@ -275,7 +272,7 @@ func New(cfg Config) (*Router, error) {
 			hStageMerge:     reg.Histogram(p + "stage.merge"),
 			hStageEncode:    reg.Histogram(p + "stage.encode"),
 		}
-		rt.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, func(jobs []job) []result {
+		rt.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch}, func(jobs []job) []result {
 			return r.runBatch(rt, jobs)
 		})
 		r.routes[name] = rt

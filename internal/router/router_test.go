@@ -48,7 +48,6 @@ func testRouter(t testing.TB, f *fleet) *Client {
 		Retry:         retry.Policy{MaxRetries: 1, BaseBackoff: time.Millisecond},
 		Breaker:       BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
 		ProbeInterval: 20 * time.Millisecond,
-		MaxDelay:      500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

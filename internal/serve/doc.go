@@ -12,10 +12,12 @@
 // stall requests on another. Per route:
 //
 //   - Request coalescing. Concurrent single-query requests are packed
-//     into micro-batches (internal/batch, the same admission-window
-//     coalescer behind the argo model gateway) and dispatched through the
-//     store's RetrieveBatch — so the vecstore multi-query kernel
-//     amortises tile decode, and a PQ index amortises its per-query LUT
+//     into micro-batches (internal/batch, the same coalescer behind the
+//     argo model gateway) and dispatched through the store's
+//     RetrieveBatch. A request on an idle route runs at once, and a
+//     batch holds whatever queued while the previous batch ran (up to
+//     MaxBatch). The vecstore multi-query
+//     kernel amortises tile decode, and a PQ index its per-query LUT
 //     build, across the whole batch. Trace-route requests carry the
 //     per-query question self-exclusion id through the same batches.
 //

@@ -94,7 +94,10 @@ func (c *LoadConfig) queryOrder() []int {
 }
 
 // LoadReport is the harness's latency/throughput summary. Latencies are
-// client-observed (queueing + batching + search + transport).
+// client-observed (queueing + batching + search + transport). In the open
+// loop each request is timed from its scheduled send time, so a request
+// the harness could not send on schedule (the in-flight cap was full
+// behind a stalled server) counts that backlog too.
 type LoadReport struct {
 	Mode        string  `json:"mode"`           // "closed" or "open"
 	Dist        string  `json:"dist,omitempty"` // query-key distribution: "uniform" or "zipf"
@@ -156,9 +159,8 @@ func RunLoadMixed(cfg LoadConfig, routes []string, do func(route, query string, 
 	qidx := cfg.queryOrder()
 	lat := make([]time.Duration, cfg.Requests)
 	failed := make([]bool, cfg.Requests)
-	issue := func(i int) {
+	issue := func(i int, start time.Time) {
 		q := cfg.Queries[qidx[i]]
-		start := time.Now()
 		err := do(routes[i%len(routes)], q, cfg.K)
 		lat[i] = time.Since(start)
 		failed[i] = err != nil
@@ -186,12 +188,16 @@ func RunLoadMixed(cfg LoadConfig, routes []string, do func(route, query string, 
 				issued = i
 				break
 			}
+			// The clock starts at the due slot, not after the semaphore:
+			// otherwise a stalled server would hide the queue it causes
+			// (coordinated omission).
+			due := next
 			next = next.Add(interval)
 			sem <- struct{}{}
 			wg.Add(1)
 			go func(i int) {
 				defer func() { <-sem; wg.Done() }()
-				issue(i)
+				issue(i, due)
 			}(i)
 		}
 		wg.Wait()
@@ -210,7 +216,7 @@ func RunLoadMixed(cfg LoadConfig, routes []string, do func(route, query string, 
 					if i >= cfg.Requests {
 						return
 					}
-					issue(i)
+					issue(i, time.Now())
 				}
 			}()
 		}

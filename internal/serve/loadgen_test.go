@@ -60,6 +60,30 @@ func TestRunLoadOpenLoop(t *testing.T) {
 	}
 }
 
+// TestRunLoadOpenLoopCountsBacklog pins the open loop against coordinated
+// omission: one slow request holds the only in-flight slot, and the
+// requests scheduled behind it must report the time they spent waiting
+// for their send, not just their own near-zero service time.
+func TestRunLoadOpenLoopCountsBacklog(t *testing.T) {
+	const stall = 20 * time.Millisecond
+	var calls atomic.Int64
+	rep := RunLoad(LoadConfig{Concurrency: 1, Requests: 20, RatePerSec: 1000, Queries: []string{"q"}},
+		func(q string, k int) error {
+			if calls.Add(1) == 1 {
+				time.Sleep(stall)
+			}
+			return nil
+		})
+	if rep.Requests != 20 || rep.Failures != 0 {
+		t.Fatalf("report %+v", rep)
+	}
+	// p99 of 20 samples is the second slowest, so it is a request that
+	// queued behind the stall: due at 1ms, sent at about 20ms.
+	if rep.P99MS < float64(stall/2)/float64(time.Millisecond) {
+		t.Fatalf("p99 %.3fms hides the %v backlog behind the stalled request", rep.P99MS, stall)
+	}
+}
+
 func TestRunLoadMixedPartitionsByRoute(t *testing.T) {
 	routes := []string{"chunks", "traces/detailed", "traces/focused"}
 	var perRoute [3]atomic.Int64

@@ -240,11 +240,10 @@ func TestPerRouteSwapIsolation(t *testing.T) {
 
 func TestStaleFillDoesNotSquatAfterSwap(t *testing.T) {
 	// A fill that is still in flight when SwapIndex purges the cache must
-	// not leave an entry keyed under the dead epoch.
-	cfg := DefaultConfig()
-	cfg.MaxDelay = 40 * time.Millisecond // park the fill in the coalescer
-	cfg.MaxBatch = 64
-	s, store, chunks := testServer(t, 24, cfg)
+	// not leave an entry keyed under the dead epoch. The gate holds the
+	// fill inside the backend, its batch already bound to the epoch-0
+	// snapshot, while the swap publishes epoch 1 and purges the cache.
+	s, store, chunks, g := gatedServer(t, 24, DefaultConfig())
 	vsf := filepath.Join(t.TempDir(), "gen2.vsf")
 	if err := store.SaveIndex(vsf); err != nil {
 		t.Fatal(err)
@@ -255,18 +254,11 @@ func TestStaleFillDoesNotSquatAfterSwap(t *testing.T) {
 		_, _, _, err := s.Search(context.Background(), chunks[4].Text, 2)
 		done <- err
 	}()
-	for { // wait until the fill's flight is registered
-		s.chunks.flights.mu.Lock()
-		n := len(s.chunks.flights.m)
-		s.chunks.flights.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	<-g.entered // the fill's batch is inside the backend
 	if _, err := s.SwapFromFile(vsf); err != nil {
 		t.Fatal(err)
 	}
+	g.open()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +283,6 @@ func TestStaleFillDoesNotSquatAfterSwap(t *testing.T) {
 // warm through every chunk swap.
 func TestSwapSearchRaceConsistency(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxDelay = 300 * time.Microsecond
 	cfg.CacheCap = 64 // small enough that eviction happens under load
 	s, store, _, traces := testMultiServer(t, 64, 8, cfg)
 	chunks := testChunks(64)

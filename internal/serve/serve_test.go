@@ -47,6 +47,81 @@ func testServer(t testing.TB, n int, cfg Config) (*Server, *rag.ChunkStore, []ch
 	return s, store, chunks
 }
 
+// gate holds batches inside a route's backend: the first RetrieveBatch
+// through it closes entered, and every call blocks until open is called.
+// Tests wait on entered instead of sleeping for a request to arrive.
+type gate struct {
+	entered chan struct{}
+	release chan struct{}
+	in, out sync.Once
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gate) open() { g.out.Do(func() { close(g.release) }) }
+
+// gatedStore is a route store whose RetrieveBatch passes through a gate.
+// It does not implement rag.StagedRetriever, so the route calls
+// RetrieveBatch; snapshots derived by a swap keep the gate.
+type gatedStore struct {
+	rag.Facade
+	g *gate
+}
+
+func (s gatedStore) RetrieveBatch(queries []string, k int, exclude []string) [][]rag.Hit {
+	s.g.in.Do(func() { close(s.g.entered) })
+	<-s.g.release
+	return s.Facade.RetrieveBatch(queries, k, exclude)
+}
+
+func (s gatedStore) WithIndex(index vecstore.Index) (rag.Facade, error) {
+	st, err := s.Facade.WithIndex(index)
+	if err != nil {
+		return nil, err
+	}
+	return gatedStore{st, s.g}, nil
+}
+
+// gatedServer is testServer with the chunk route behind a gate. The gate
+// opens at cleanup, before the server closes, so a failing test cannot
+// leave the drain waiting on a held batch.
+func gatedServer(t testing.TB, n int, cfg Config) (*Server, *rag.ChunkStore, []chunk.Chunk, *gate) {
+	t.Helper()
+	chunks := testChunks(n)
+	store := rag.BuildChunkStore(nil, chunks, 0)
+	g := newGate()
+	s := NewMulti(cfg)
+	if err := s.Mount(RouteChunks, gatedStore{rag.NewChunkFacade(store), g}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	t.Cleanup(g.open)
+	return s, store, chunks, g
+}
+
+// joinSignal is a context that closes waiting on its first Done call. A
+// flightGroup joiner first consults ctx.Done() once it is attached to the
+// leader's flight, so waiting tells a test that the joiner has joined.
+type joinSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newJoinSignal() *joinSignal {
+	return &joinSignal{Context: context.Background(), waiting: make(chan struct{})}
+}
+
+func (c *joinSignal) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
 func TestSearchEndToEnd(t *testing.T) {
 	s, _, chunks := testServer(t, 64, DefaultConfig())
 	c := NewClient("http://"+s.Addr(), nil)
@@ -110,7 +185,6 @@ func TestSearchEndToEnd(t *testing.T) {
 func TestCoalescingUnderConcurrentClients(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheCap = 0 // every request must reach the kernel
-	cfg.MaxDelay = 3 * time.Millisecond
 	s, _, chunks := testServer(t, 128, cfg)
 	c := NewClient("http://"+s.Addr(), nil)
 
@@ -175,9 +249,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 }
 
 func TestHotSwapUnderLoad(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxDelay = 500 * time.Microsecond
-	s, store, chunks := testServer(t, 96, cfg)
+	s, store, chunks := testServer(t, 96, DefaultConfig())
 
 	// Two on-disk generations of the same corpus: the initial flat index
 	// and a second copy (what a rebuilt/retrained index deploy looks like).
@@ -236,6 +308,10 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	// A connection the transport dialed but never used sits in StateNew on
+	// the server, which Shutdown only reaps after 5s; close it here so the
+	// cleanup drain does not wait that out.
+	c.HTTPClient().CloseIdleConnections()
 
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d failed requests across %d during hot swaps", n, requests.Load())
@@ -277,13 +353,17 @@ func TestSwapRejectsBadInput(t *testing.T) {
 }
 
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
-	cfg := DefaultConfig()
-	// A wide admission window parks the request inside the coalescer, so
-	// shutdown provably overlaps an in-flight request.
-	cfg.MaxDelay = 50 * time.Millisecond
-	cfg.MaxBatch = 64
-	s, _, chunks := testServer(t, 16, cfg)
+	// The gate holds the request inside the backend until shutdown has
+	// begun, so shutdown provably overlaps an in-flight request.
+	s, _, chunks, g := gatedServer(t, 16, DefaultConfig())
 	c := NewClient("http://"+s.Addr(), nil)
+	draining := make(chan struct{}, 1) // cleanup's Close shuts down again
+	s.httpSrv.RegisterOnShutdown(func() {
+		select {
+		case draining <- struct{}{}:
+		default:
+		}
+	})
 
 	done := make(chan error, 1)
 	go func() {
@@ -293,10 +373,14 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		}
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // request is now waiting for batchmates
+	<-g.entered // the request is now inside the backend
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- s.Shutdown(ctx) }()
+	<-draining // listeners are closed; Shutdown now waits for the request
+	g.open()
+	if err := <-shutdown; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if err := <-done; err != nil {
@@ -321,14 +405,9 @@ func TestSearchDirectAPI(t *testing.T) {
 }
 
 func TestCancelledLeaderDoesNotPoisonJoiners(t *testing.T) {
-	cfg := DefaultConfig()
-	// A wide admission window keeps the flight open long enough for the
-	// leader to be cancelled while a joiner is attached.
-	cfg.MaxDelay = 30 * time.Millisecond
-	cfg.MaxBatch = 64
-	s := New(rag.BuildChunkStore(nil, testChunks(16), 0), cfg)
-	defer s.Close()
-	chunks := testChunks(16)
+	// The gate holds the leader's fill inside the backend, keeping its
+	// flight open while the leader is cancelled and a joiner attaches.
+	s, _, chunks, g := gatedServer(t, 16, DefaultConfig())
 
 	lctx, lcancel := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
@@ -336,23 +415,30 @@ func TestCancelledLeaderDoesNotPoisonJoiners(t *testing.T) {
 		_, _, _, err := s.Search(lctx, chunks[2].Text, 2)
 		leaderDone <- err
 	}()
-	for { // wait until the leader's flight is registered
-		s.chunks.flights.mu.Lock()
-		n := len(s.chunks.flights.m)
-		s.chunks.flights.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	lcancel() // the leader's client disconnects mid-flight
+	<-g.entered // the leader's flight is registered and its batch is held
+	lcancel()   // the leader's client disconnects mid-flight
 
-	res, _, _, err := s.Search(context.Background(), chunks[2].Text, 2)
-	if err != nil {
-		t.Fatalf("healthy joiner poisoned by leader cancellation: %v", err)
+	jctx := newJoinSignal()
+	type answer struct {
+		res []rag.Hit
+		err error
 	}
-	if len(res) == 0 || res[0].ID != chunks[2].ID {
-		t.Fatalf("joiner results %v", res)
+	joined := make(chan answer, 1)
+	go func() {
+		res, _, _, err := s.Search(jctx, chunks[2].Text, 2)
+		joined <- answer{res, err}
+	}()
+	<-jctx.waiting // the joiner is attached to the leader's flight
+	g.open()
+	j := <-joined
+	if j.err != nil {
+		t.Fatalf("healthy joiner poisoned by leader cancellation: %v", j.err)
+	}
+	if len(j.res) == 0 || j.res[0].ID != chunks[2].ID {
+		t.Fatalf("joiner results %v", j.res)
+	}
+	if n := s.Registry().Snapshot().Counter("serve.chunks.flight.shared"); n != 1 {
+		t.Fatalf("joiner did not share the leader's flight (flight.shared %d)", n)
 	}
 	// The flight itself ran detached, so even the leader gets the result.
 	if err := <-leaderDone; err != nil {

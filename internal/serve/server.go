@@ -42,11 +42,9 @@ func TraceRoute(mode mcq.ReasoningMode) string { return "traces/" + string(mode)
 // coalescer and cache built from the same configuration.
 type Config struct {
 	// MaxBatch caps the coalesced batch handed to RetrieveBatch
-	// (default 32).
+	// (default 32). A request on an idle route is dispatched at once;
+	// requests that queue while a batch runs form the next one.
 	MaxBatch int
-	// MaxDelay is the admission window: how long the first request of a
-	// batch waits for batchmates (default 1ms).
-	MaxDelay time.Duration
 	// CacheCap is the per-route query-cache capacity in entries; 0
 	// disables the caches (default 4096 via DefaultConfig).
 	CacheCap int
@@ -79,15 +77,12 @@ type Config struct {
 
 // DefaultConfig returns the serving defaults.
 func DefaultConfig() Config {
-	return Config{MaxBatch: 32, MaxDelay: time.Millisecond, CacheCap: 4096, CacheShards: 8, DefaultK: 5, MaxK: 100}
+	return Config{MaxBatch: 32, CacheCap: 4096, CacheShards: 8, DefaultK: 5, MaxK: 100}
 }
 
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Millisecond
 	}
 	if c.CacheShards <= 0 {
 		c.CacheShards = 8
@@ -324,7 +319,7 @@ func newRoute(name string, st Store, cfg Config, reg *metrics.Registry) *route {
 	}
 	rt.snap.Store(&Snapshot{Store: st, Epoch: 0, Source: "initial"})
 	rt.gVectors.Set(int64(st.Len()))
-	rt.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, rt.runBatch)
+	rt.co = batch.New(batch.Config{MaxBatch: cfg.MaxBatch}, rt.runBatch)
 	return rt
 }
 
